@@ -3,20 +3,19 @@
 Sweeps the sharded fleet runner (``repro.parallel.run_fleet_sharded``)
 across fleet sizes under the hardware (CORDIC) logarithm with the live
 per-draw datapath — the compute-bound regime where extra cores matter —
-and reports, per size, the single-process time, the pool time on each
-transport, and the measured IPC payload (``ipc_bytes``: pickled bytes of
-everything that actually crosses the pool pipe).  The zero-copy
-shared-memory data plane ships block names instead of epoch matrices,
-so its ``ipc_bytes`` column is what justifies the transport.
+and reports, per size, the single-process time, the pool time (median
+and spread over three runs each), the speedup, and the mode the
+adaptive planner's auto mode (``plan_execution`` with no pinned worker
+count) picks for that size on this host.
 
 Before timing anything it verifies the headline invariant on a small
 fleet: a run sharded across W workers is bit-identical to the same plan
-at ``workers=1`` on *both* transports, and a ``shards=1`` run is
-bit-identical to the legacy unsharded batched fleet.
+at ``workers=1``, and a ``shards=1`` run is bit-identical to the legacy
+unsharded batched fleet.
 
 The ≥2× speedup floor is only asserted on machines with ≥4 cores (and
 not in ``--quick`` mode); smaller hosts still record the sweep so the
-trajectory is visible in ``BENCH_parallel.json`` (schema 2).
+trajectory is visible in ``BENCH_parallel.json`` (schema 3).
 
 Standalone script (not pytest-benchmark): CI runs ``--quick`` with two
 workers as a smoke test, developers run it bare for the full sweep.
@@ -26,6 +25,8 @@ import argparse
 import json
 import os
 import pathlib
+import platform
+import subprocess
 import sys
 import time
 
@@ -49,11 +50,13 @@ MIN_CORES_FOR_FLOOR = 4
 #: Fleet sizes swept (full mode) — the 50k row is the headline number.
 SWEEP_SIZES = (5_000, 50_000, 500_000)
 QUICK_SIZES = (500, 2_000)
+#: Timed runs per configuration in full mode (median and range kept);
+#: quick mode times each once.
+REPEATS = 3
 
 
 def _identity_check(workers: int) -> bool:
-    """Bit-identity: W workers ≡ 1 worker on both transports, and
-    shards=1 ≡ unsharded."""
+    """Bit-identity: W workers ≡ 1 worker, and shards=1 ≡ unsharded."""
     truth = audited_generator(SEED).uniform(5.0, 45.0, size=(4, 96))
     common = dict(
         arm="thresholding",
@@ -64,22 +67,13 @@ def _identity_check(workers: int) -> bool:
     one = run_fleet_sharded(
         truth, SENSOR, EPSILON, rng=audited_generator(1), shards=8, workers=1, **common
     )
-    for use_shm in (False, True):
-        many = run_fleet_sharded(
-            truth,
-            SENSOR,
-            EPSILON,
-            rng=audited_generator(1),
-            shards=8,
-            workers=workers,
-            shm=use_shm,
-            **common,
-        )
-        for epoch in one.server.epochs:
-            if not np.array_equal(
-                one.server.values(epoch), many.server.values(epoch)
-            ):
-                return False
+    many = run_fleet_sharded(
+        truth, SENSOR, EPSILON, rng=audited_generator(1), shards=8,
+        workers=workers, **common
+    )
+    for epoch in one.server.epochs:
+        if not np.array_equal(one.server.values(epoch), many.server.values(epoch)):
+            return False
 
     legacy = run_fleet(
         truth, SENSOR, EPSILON, rng=audited_generator(1), batched=True, **common
@@ -95,10 +89,10 @@ def _identity_check(workers: int) -> bool:
     return True
 
 
-def _run(truth, workers, shards, use_shm=None, measure_ipc=False):
-    """One streaming sharded run on the live CORDIC datapath."""
+def _run(truth, workers, shards) -> float:
+    """Seconds for one streaming sharded run on the live CORDIC datapath."""
     t0 = time.perf_counter()
-    result = run_fleet_sharded(
+    run_fleet_sharded(
         truth,
         SENSOR,
         EPSILON,
@@ -111,50 +105,56 @@ def _run(truth, workers, shards, use_shm=None, measure_ipc=False):
         with_devices=False,
         log_backend=CordicLn(),
         kernel="live",
-        shm=use_shm,
-        measure_ipc=measure_ipc,
     )
-    return time.perf_counter() - t0, result
+    return time.perf_counter() - t0
 
 
-def _sweep_row(devices, epochs, workers, shards, shm_mode):
-    """Timings + IPC bytes for one fleet size."""
+def _timed(truth, workers, shards, repeats):
+    """Median and [min, max] seconds over ``repeats`` runs."""
+    times = sorted(_run(truth, workers, shards) for _ in range(repeats))
+    return round(float(np.median(times)), 4), [round(times[0], 4), round(times[-1], 4)]
+
+
+def _sweep_row(devices, epochs, workers, shards, repeats):
+    """Timings, speedup and the planner's auto decision for one size."""
     truth = audited_generator(SEED).uniform(5.0, 45.0, size=(epochs, devices))
-    t_single, _ = _run(truth, 1, shards)
-    row = {
+    auto = plan_execution(devices, epochs, shards=shards)
+    t_single, single_spread = _timed(truth, 1, shards, repeats)
+    t_parallel, parallel_spread = _timed(truth, workers, shards, repeats)
+    return {
         "devices": devices,
         "epochs": epochs,
-        "t_single_s": round(t_single, 4),
-        "t_parallel_shm_s": None,
-        "t_parallel_pickle_s": None,
-        "ipc_bytes_shm": None,
-        "ipc_bytes_pickle": None,
-        "ipc_reduction": None,
-        "speedup": None,
+        "t_single_s": t_single,
+        "t_single_range_s": single_spread,
+        "t_parallel_s": t_parallel,
+        "t_parallel_range_s": parallel_spread,
+        "speedup": round(t_single / t_parallel, 3),
+        "planner_auto": auto.describe(),
+        "planner_auto_mode": auto.mode,
+        "planner_estimated_serial_s": (
+            None
+            if auto.estimated_serial_s is None
+            else round(auto.estimated_serial_s, 3)
+        ),
     }
-    if shm_mode in ("auto", "on"):
-        t, _ = _run(truth, workers, shards, use_shm=True)
-        row["t_parallel_shm_s"] = round(t, 4)
-    if shm_mode in ("auto", "off"):
-        t, _ = _run(truth, workers, shards, use_shm=False)
-        row["t_parallel_pickle_s"] = round(t, 4)
-    # IPC payloads, measured outside the timed runs (pickling the
-    # payload to count it costs real time on the pickle transport).
-    _, res = _run(truth, workers, shards, use_shm=True, measure_ipc=True)
-    row["ipc_bytes_shm"] = int(res.ipc_bytes)
-    _, res = _run(truth, workers, shards, use_shm=False, measure_ipc=True)
-    row["ipc_bytes_pickle"] = int(res.ipc_bytes)
-    if row["ipc_bytes_shm"]:
-        row["ipc_reduction"] = round(
-            row["ipc_bytes_pickle"] / row["ipc_bytes_shm"], 1
-        )
-    best = min(
-        (t for t in (row["t_parallel_shm_s"], row["t_parallel_pickle_s"]) if t),
-        default=None,
-    )
-    if best:
-        row["speedup"] = round(t_single / best, 3)
-    return row
+
+
+def _host(cores: int) -> dict:
+    try:
+        sha = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=REPO_ROOT, capture_output=True,
+            text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        sha = None
+    return {
+        "cores": cores,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "git_sha": sha,
+    }
 
 
 def main(argv=None) -> int:
@@ -164,25 +164,17 @@ def main(argv=None) -> int:
                         help="default: min(4, cpu_count)")
     parser.add_argument("--shards", type=int, default=8)
     parser.add_argument(
-        "--shm",
-        choices=("auto", "on", "off"),
-        default="auto",
-        help="transport for the timed pool runs: auto times both, "
-        "on/off restrict to one (IPC bytes are measured for both "
-        "either way)",
-    )
-    parser.add_argument(
         "--sizes", type=int, nargs="*", default=None,
         help="fleet sizes to sweep (default: 5k/50k/500k, or small in --quick)",
     )
     parser.add_argument(
         "--output", type=pathlib.Path, default=RESULTS_JSON,
-        help="where to write the schema-2 JSON results",
+        help="where to write the schema-3 JSON results",
     )
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI smoke mode: small fleets, 2 workers, no speedup floor",
+        help="CI smoke mode: small fleets, 2 workers, 1 repeat, no speedup floor",
     )
     args = parser.parse_args(argv)
 
@@ -191,25 +183,25 @@ def main(argv=None) -> int:
         sizes = tuple(args.sizes) if args.sizes else QUICK_SIZES
         epochs = min(args.epochs, 4)
         workers = 2 if args.workers is None else args.workers
+        repeats = 1
     else:
         sizes = tuple(args.sizes) if args.sizes else SWEEP_SIZES
         epochs = args.epochs
         workers = min(4, cores) if args.workers is None else args.workers
+        repeats = REPEATS
     assert_floor = (
         not args.quick
         and cores >= MIN_CORES_FOR_FLOOR
         and workers >= MIN_CORES_FOR_FLOOR
     )
     shards = plan_shards(max(sizes), args.shards).n_shards
-    plan = plan_execution(max(sizes), epochs, shards=args.shards)
 
     print(f"cores={cores} workers={workers} shards={shards} "
-          f"sizes={list(sizes)} epochs={epochs} shm={args.shm}")
-    print(f"planner would choose: {plan.describe()} ({plan.reason})")
+          f"sizes={list(sizes)} epochs={epochs} repeats={repeats}")
 
     bit_identical = _identity_check(workers)
-    print(f"bit-identity (W={workers} vs W=1, shm vs pickle, "
-          f"shards=1 vs unsharded): {'OK' if bit_identical else 'FAILED'}")
+    print(f"bit-identity (W={workers} vs W=1, shards=1 vs unsharded): "
+          f"{'OK' if bit_identical else 'FAILED'}")
 
     # Warm codebook/table caches outside the timed region.
     warm = audited_generator(SEED).uniform(5.0, 45.0, size=(1, 256))
@@ -217,39 +209,44 @@ def main(argv=None) -> int:
 
     sweep = []
     for devices in sizes:
-        row = _sweep_row(devices, epochs, workers, args.shards, args.shm)
+        row = _sweep_row(devices, epochs, workers, args.shards, repeats)
         sweep.append(row)
         print(
             f"devices={devices:>7d}  single={row['t_single_s']:.3f}s  "
-            f"shm={row['t_parallel_shm_s']}s  pickle={row['t_parallel_pickle_s']}s  "
-            f"speedup={row['speedup']}x  "
-            f"ipc {row['ipc_bytes_pickle']} -> {row['ipc_bytes_shm']} bytes "
-            f"({row['ipc_reduction']}x smaller)"
+            f"pool={row['t_parallel_s']:.3f}s  speedup={row['speedup']}x  "
+            f"auto={row['planner_auto']}"
         )
+    misplanned = [
+        row["devices"]
+        for row in sweep
+        if row["planner_auto_mode"] == "pool" and row["speedup"] < 1.0
+    ]
 
     headline = sweep[-1]
     payload = {
-        "schema": 2,
-        "cores": cores,
+        "schema": 3,
+        "host": _host(cores),
         "workers": workers,
         "shards": shards,
+        "repeats": repeats,
         "arm": "thresholding",
         "datapath": "cordic-live",
-        "shm_mode": args.shm,
-        "planner": plan.describe(),
         "sweep": sweep,
         "speedup": headline["speedup"],
         "speedup_floor": MIN_SPEEDUP,
         "floor_asserted": assert_floor,
+        "planner_pool_below_break_even": misplanned,
         "bit_identical": bit_identical,
         "quick": args.quick,
     }
     args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.output}")
 
+    if misplanned:
+        print(f"note: the planner's auto mode picks a pool at devices="
+              f"{misplanned}, where the pool measured slower than one core")
     if not bit_identical:
-        print("FAIL: sharded run is not bit-identical across worker "
-              "counts/transports")
+        print("FAIL: sharded run is not bit-identical across worker counts")
         return 1
     if assert_floor and headline["speedup"] < MIN_SPEEDUP:
         print(f"FAIL: speedup {headline['speedup']:.2f}x below the "

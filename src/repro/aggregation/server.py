@@ -357,7 +357,6 @@ class AggregationServer:
         n_reports: int,
         claimed_loss: float,
         device_ids: Optional[Sequence[str]] = None,
-        donate: bool = False,
     ) -> None:
         """Accept one epoch batch of categorical *support counts*.
 
@@ -369,12 +368,6 @@ class AggregationServer:
         never retained server-side, in either mode).  ``device_ids`` is
         optional exactly as in streaming ``submit_array``; bulk callers
         use :meth:`record_claimed_losses` instead.
-
-        ``donate=True`` has the same contract as on :meth:`submit_array`
-        (caller invalidates the buffer after the call).  The count fold
-        is additive and consumes the vector immediately, so donation is
-        always zero-copy here; the flag exists so shm callers state the
-        ownership transfer explicitly.
         """
         counts = np.asarray(counts, dtype=np.int64).reshape(-1)
         if counts.size < 2:

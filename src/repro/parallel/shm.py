@@ -1,14 +1,13 @@
-"""Zero-copy shared-memory data plane for the sharded fleet.
+"""Zero-copy shared-memory data plane for pooled sharded fleet runs.
 
-The pickle transport ships every shard's epoch matrices through the pool
-pipe twice (task out, result back) — at 50k devices that is tens of
-megabytes of serialization per run, which is why the recorded 2-worker
-benchmark *lost* to single-core.  This module replaces the payload with
-names: the coordinator copies each shard's input slices into named
-:class:`multiprocessing.shared_memory.SharedMemory` blocks once, workers
-attach by name and write their outputs into coordinator-allocated result
-buffers, and only O(1) metadata (block names, shapes, offsets) plus the
-small trace artifacts cross the pipe.
+Under a process pool the coordinator copies each shard's input slices
+into named :class:`multiprocessing.shared_memory.SharedMemory` blocks
+once, workers attach by name and write their outputs into
+coordinator-allocated result buffers, and only O(1) metadata (block
+names, shapes, offsets) plus the small trace artifacts cross the pool
+pipe.  Pickling the arrays instead would ship every shard's epoch
+matrices through the pipe twice — tens of megabytes per run at 50k
+devices, which is why an early 2-worker benchmark *lost* to one core.
 
 Two pieces:
 

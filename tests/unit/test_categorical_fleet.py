@@ -46,25 +46,6 @@ class TestWorkerCountIdentity:
         c2, _ = r2.server.category_counts(0)
         assert not np.array_equal(c4, c2)
 
-    @pytest.mark.parametrize("oracle", ["krr", "oue", "olh"])
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_shm_transport_bit_identical(self, truth, oracle, workers):
-        # The zero-copy count buffers must merge to the same histograms
-        # as the pickle transport, for every oracle and worker count.
-        a = _run(truth, workers=workers, oracle=oracle, shm=False)
-        b = _run(truth, workers=workers, oracle=oracle, shm=True)
-        for epoch in range(truth.shape[0]):
-            ca, na = a.server.category_counts(epoch)
-            cb, nb = b.server.category_counts(epoch)
-            np.testing.assert_array_equal(ca, cb)
-            assert na == nb
-
-    def test_ipc_bytes_shrink_under_shm(self, truth):
-        pickle_run = _run(truth, workers=2, shm=False, measure_ipc=True)
-        shm_run = _run(truth, workers=2, shm=True, measure_ipc=True)
-        assert shm_run.ipc_bytes < pickle_run.ipc_bytes
-        assert _run(truth, workers=1).ipc_bytes is None
-
 
 class TestAccuracyAndEstimates:
     def test_estimates_track_truth(self, truth):
@@ -164,3 +145,6 @@ class TestValidation:
             run_fleet_categorical(
                 np.zeros((2, 4), dtype=np.int64), 4, 1.0, workers=0
             )
+        for empty in ((2, 0), (0, 4)):
+            with pytest.raises(ConfigurationError):
+                run_fleet_categorical(np.zeros(empty, dtype=np.int64), 4, 1.0)

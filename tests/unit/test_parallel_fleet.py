@@ -118,48 +118,6 @@ class TestWorkerCountBitIdentity:
         assert_bit_identical(a, b)
 
 
-class TestTransportBitIdentity:
-    """shm and pickle data planes must release identical streams."""
-
-    @pytest.mark.parametrize("arm", ["thresholding", "baseline", "rr"])
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_shm_matches_pickle(self, arm, workers):
-        assert_bit_identical(
-            run_sharded(workers, arm=arm, shm=False),
-            run_sharded(workers, arm=arm, shm=True),
-        )
-
-    def test_shm_budget_dropout_device_state(self):
-        kwargs = dict(device_budget=2.5, dropout=0.2)
-        a = run_sharded(2, shm=False, **kwargs)
-        b = run_sharded(2, shm=True, **kwargs)
-        assert_bit_identical(a, b)
-        for dev_a, dev_b in zip(a.devices, b.devices):
-            assert dev_a.n_fresh == dev_b.n_fresh
-            assert dev_a.n_cached == dev_b.n_cached
-            assert dev_a.remaining_budget == pytest.approx(
-                dev_b.remaining_budget, abs=1e-12
-            )
-
-    def test_shm_streaming_matches_pickle_retaining(self):
-        streaming = run_sharded(2, shm=True, streaming=True)
-        retaining = run_sharded(2, shm=False)
-        for epoch in retaining.server.epochs:
-            ref = retaining.server.values(epoch)
-            summary = streaming.server.summarize(epoch)
-            assert summary.n_reports == ref.size
-            assert summary.mean == pytest.approx(float(ref.mean()), rel=1e-12)
-
-    def test_ipc_bytes_measured_and_smaller_under_shm(self):
-        t = truth(n_devices=192)
-        pickle_run = run_sharded(2, t=t, shm=False, measure_ipc=True)
-        shm_run = run_sharded(2, t=t, shm=True, measure_ipc=True)
-        assert pickle_run.ipc_bytes > 0 and shm_run.ipc_bytes > 0
-        assert shm_run.ipc_bytes < pickle_run.ipc_bytes
-        # Off by default: timed runs must not pay the serialization pass.
-        assert run_sharded(1).ipc_bytes is None
-
-
 class TestLegacyBridge:
     def test_one_shard_matches_unsharded_batched(self):
         t = truth()
@@ -231,6 +189,11 @@ class TestMerge:
 
         with pytest.raises(ConfigurationError):
             run_sharded(1, source=SplitStreamSource(1))
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 48)])
+    def test_rejects_empty_axes(self, shape):
+        with pytest.raises(ConfigurationError):
+            run_sharded(1, t=np.zeros(shape))
 
 
 class TestStreamingRuns:

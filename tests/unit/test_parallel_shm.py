@@ -124,7 +124,6 @@ def _fleet_kwargs(**overrides):
         source_seed=7,
         shards=4,
         rng=np.random.default_rng(3),
-        shm=True,
     )
     kwargs.update(overrides)
     return kwargs
