@@ -7,14 +7,17 @@ Three equivalences, each over adversarially generated batch sequences:
   ``GuardChain.check`` on the equivalent scalar request return the
   same verdict, guard, reason, delta and warnings; the canonical
   requests agree report-for-report; and after committing admitted
-  outcomes the two chains' internal state — budget LRU contents *and
-  order*, per-epoch rate counts — is identical.
-* **Budget LRU oracle**: the C-level fast path inside the budget
-  guard's commit produces exactly the state of the per-id
-  pop/reinsert/evict walk, including eviction victims.
-* **Rate-count oracle**: the rate guard's fast path keeps/drops the
+  outcomes the two chains' state — budget LRU contents *and order*,
+  per-epoch rate counts — is identical.
+* **Budget LRU oracle**: the budget guard's column commit and charge-log
+  eviction produce exactly the state of the per-id pop/reinsert/evict
+  walk over an LRU dict, including eviction victims.
+* **Rate-count oracle**: the rate guard's array screen keeps/drops the
   same report indices and commits the same per-epoch counts as the
   naive per-report walk.
+
+State is read through the guards' and the server's read-only views
+(``spent``, ``epoch_counts``, ``disclosure``).
 """
 
 import numpy as np
@@ -120,14 +123,11 @@ def test_columnar_chain_equivalent_to_scalar(config, seq):
             )
             s_out.commit()
             c_out.commit()
-        # Committed state stays in lockstep — values AND dict order.
+        # Committed state stays in lockstep — spend values AND LRU order.
         s_budget, c_budget = scalar_chain.guards[1], columnar_chain.guards[1]
-        assert list(c_budget._spent.items()) == list(s_budget._spent.items())
+        assert list(c_budget.spent.items()) == list(s_budget.spent.items())
         s_rate, c_rate = scalar_chain.guards[2], columnar_chain.guards[2]
-        assert c_rate._seen == s_rate._seen
-        assert [list(c.items()) for c in c_rate._seen.values()] == [
-            list(s.items()) for s in s_rate._seen.values()
-        ]
+        assert c_rate.epoch_counts == s_rate.epoch_counts
 
 
 @settings(max_examples=80, deadline=None)
@@ -163,7 +163,7 @@ def test_budget_charge_matches_naive_lru_walk(seq, cap):
             oracle[device_id] = oracle.pop(device_id, 0.0) + loss
         while len(oracle) > cap:
             del oracle[next(iter(oracle))]
-        assert list(guard._spent.items()) == list(oracle.items())
+        assert list(guard.spent.items()) == list(oracle.items())
 
 
 @settings(max_examples=80, deadline=None)
@@ -212,8 +212,7 @@ def test_rate_limit_matches_naive_walk(seq, limit):
         decision.commit(final)
         for device_id, n in pending.items():
             counts[device_id] = counts.get(device_id, 0) + n
-        assert guard._seen[epoch] == counts
-        assert list(guard._seen[epoch].items()) == list(counts.items())
+        assert guard.epoch_counts[epoch] == counts
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,4 +239,4 @@ def test_disclosure_charge_matches_naive_walk(seq):
         )
         for device_id in ids:
             oracle[device_id] = oracle.get(device_id, 0.0) + loss
-        assert list(server._disclosure.items()) == list(oracle.items())
+        assert list(server.disclosure.items()) == list(oracle.items())

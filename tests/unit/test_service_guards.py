@@ -147,14 +147,14 @@ class TestEpochBudgetGuard:
         g = EpochBudgetGuard(device_budget=1.0)
         assert g.check(submit(loss=1.0)).verdict is Verdict.ALLOW
         assert g.check(submit(loss=1.0)).verdict is Verdict.ALLOW
-        assert g._spent == {}
+        assert g.spent == {}
 
     def test_spend_map_lru_bounded(self):
         g = EpochBudgetGuard(device_budget=10.0, max_devices_tracked=2)
         for name in ("a", "b", "c"):
             req = submit(ids=(name,), values=(1.0,), loss=1.0)
             g.check(req).commit(req)
-        assert set(g._spent) == {"b", "c"}  # least-recently-charged evicted
+        assert set(g.spent) == {"b", "c"}  # least-recently-charged evicted
 
 
 class TestRateLimitGuard:
@@ -173,7 +173,7 @@ class TestRateLimitGuard:
         g = RateLimitGuard(per_epoch_limit=1)
         assert g.check(submit()).verdict is Verdict.ALLOW
         assert g.check(submit()).verdict is Verdict.ALLOW
-        assert g._seen == {}
+        assert g.epoch_counts == {}
 
     def test_duplicate_device_repaired_with_recorded_drop(self):
         g = RateLimitGuard(per_epoch_limit=1)
@@ -211,7 +211,29 @@ class TestRateLimitGuard:
         for epoch in range(5):
             req = submit(epoch=epoch)
             g.check(req).commit(req)
-        assert len(g._seen) <= 2
+        assert len(g.epoch_counts) <= 2
+
+    def test_epoch_older_than_the_window_blocks(self):
+        # Once the window is full, an epoch older than every tracked one
+        # has nowhere to keep its counts: admitting it would let a
+        # device report for that epoch without limit.
+        g = RateLimitGuard(per_epoch_limit=1, max_epochs_tracked=2)
+        for epoch in (5, 6):
+            req = submit(epoch=epoch, ids=("a",), values=(1.0,))
+            g.check(req).commit(req)
+        for _ in range(4):
+            d = g.check(submit(epoch=0, ids=("a",), values=(1.0,)))
+            assert d.verdict is Verdict.BLOCK
+            assert "oldest tracked: 5" in d.reason
+        assert sorted(g.epoch_counts) == [5, 6]
+        # Epochs inside or above the window still rule normally.
+        assert g.check(submit(epoch=5, ids=("a",), values=(1.0,))).verdict \
+            is Verdict.BLOCK  # rate limit: "a" already reported for 5
+        newer = submit(epoch=7, ids=("a",), values=(1.0,))
+        d = g.check(newer)
+        assert d.verdict is Verdict.ALLOW
+        d.commit(newer)
+        assert sorted(g.epoch_counts) == [6, 7]
 
 
 class TestGuardChain:
