@@ -179,8 +179,10 @@ def record_bulk_losses(server, reporting: np.ndarray, loss: float) -> None:
     per-release loss, and each device's report count is fixed by the
     coordinator-drawn masks."""
     counts = reporting.sum(axis=0)
+    # One float per distinct report count, not one per device.
+    per_count = [float(c) * loss for c in range(int(counts.max(initial=0)) + 1)]
     server.record_claimed_losses(
-        {f"dev-{i:04d}": float(counts[i]) * loss for i in np.flatnonzero(counts)}
+        {f"dev-{i:04d}": per_count[counts[i]] for i in np.flatnonzero(counts)}
     )
 
 
