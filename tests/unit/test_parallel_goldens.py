@@ -13,7 +13,10 @@ Digested outputs:
   moments (streaming), per-device ``n_fresh`` / ``n_cached`` /
   ``remaining_budget``, and the merged counter totals;
 * categorical — per-epoch category counts and ``n``, and the merged
-  counter totals.
+  counter totals;
+* disclosure (every point of both kinds) — the server's per-device
+  composition bound (``AggregationServer.disclosure``, every device's
+  total in id order) and ``n_devices_tracked``.
 
 Re-record (only when a change to the released streams is intended)::
 
@@ -153,6 +156,13 @@ def categorical_digests(result) -> dict:
     }
 
 
+def disclosure_digest(server) -> str:
+    disclosure = server.disclosure
+    ids = sorted(disclosure)
+    bounds = np.array([disclosure[i] for i in ids], dtype=np.float64)
+    return _digest(ids, bounds, server.snapshot()["n_devices_tracked"])
+
+
 NUMERIC = dict(numeric_grid())
 CATEGORICAL = dict(categorical_grid())
 
@@ -175,15 +185,35 @@ def test_categorical_goldens(key, workers):
     assert categorical_digests(result) == _load()["categorical"][key]
 
 
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("key", list(NUMERIC))
+def test_numeric_disclosure_goldens(key, workers):
+    result = run_numeric(*NUMERIC[key], workers=workers)
+    assert disclosure_digest(result.server) == _load()["disclosure"]["numeric"][key]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+@pytest.mark.parametrize("key", list(CATEGORICAL))
+def test_categorical_disclosure_goldens(key, workers):
+    result = run_categorical(*CATEGORICAL[key], workers=workers)
+    assert (
+        disclosure_digest(result.server) == _load()["disclosure"]["categorical"][key]
+    )
+
+
 def record() -> dict:
+    numeric = {key: run_numeric(*point, workers=1) for key, point in NUMERIC.items()}
+    categorical = {
+        key: run_categorical(*point, workers=1) for key, point in CATEGORICAL.items()
+    }
     return {
-        "numeric": {
-            key: numeric_digests(run_numeric(*point, workers=1))
-            for key, point in NUMERIC.items()
-        },
-        "categorical": {
-            key: categorical_digests(run_categorical(*point, workers=1))
-            for key, point in CATEGORICAL.items()
+        "numeric": {key: numeric_digests(r) for key, r in numeric.items()},
+        "categorical": {key: categorical_digests(r) for key, r in categorical.items()},
+        "disclosure": {
+            "numeric": {key: disclosure_digest(r.server) for key, r in numeric.items()},
+            "categorical": {
+                key: disclosure_digest(r.server) for key, r in categorical.items()
+            },
         },
     }
 
