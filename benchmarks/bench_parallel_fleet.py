@@ -10,8 +10,9 @@ count) picks for that size on this host.
 
 Before timing anything it verifies the headline invariant on a small
 fleet: a run sharded across W workers is bit-identical to the same plan
-at ``workers=1``, and a ``shards=1`` run is bit-identical to the legacy
-unsharded batched fleet.
+at ``workers=1`` — the numeric fleet's values and the OLH fleet's
+support counts, and both servers' per-device disclosure bounds — and a
+``shards=1`` run is bit-identical to the legacy unsharded batched fleet.
 
 The ≥2× speedup floor is only asserted on machines with ≥4 cores (and
 not in ``--quick`` mode); smaller hosts still record the sweep so the
@@ -34,7 +35,12 @@ import numpy as np
 
 from repro.aggregation import run_fleet
 from repro.mechanisms import SensorSpec
-from repro.parallel import plan_execution, plan_shards, run_fleet_sharded
+from repro.parallel import (
+    plan_execution,
+    plan_shards,
+    run_fleet_categorical,
+    run_fleet_sharded,
+)
 from repro.rng import CordicLn, audited_generator
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -55,8 +61,34 @@ QUICK_SIZES = (500, 2_000)
 REPEATS = 3
 
 
+def _same_disclosure(a, b) -> bool:
+    """Two servers hold the same per-device composition bound, bit for bit."""
+    return list(a.disclosure.items()) == list(b.disclosure.items()) and (
+        a.snapshot()["n_devices_tracked"] == b.snapshot()["n_devices_tracked"]
+    )
+
+
+def _categorical_identity_check(workers: int) -> bool:
+    """OLH fleet: W workers ≡ 1 worker in counts and disclosure."""
+    truth = audited_generator(SEED).integers(0, 16, size=(3, 600))
+    one, many = (
+        run_fleet_categorical(
+            truth, 16, EPSILON, oracle="olh", dropout=0.15,
+            rng=audited_generator(3), source_seed=SEED, shards=8, workers=w,
+        )
+        for w in (1, workers)
+    )
+    for epoch in one.server.categorical_epochs:
+        counts_one, n_one = one.server.category_counts(epoch)
+        counts_many, n_many = many.server.category_counts(epoch)
+        if n_one != n_many or not np.array_equal(counts_one, counts_many):
+            return False
+    return _same_disclosure(one.server, many.server)
+
+
 def _identity_check(workers: int) -> bool:
-    """Bit-identity: W workers ≡ 1 worker, and shards=1 ≡ unsharded."""
+    """Bit-identity: W workers ≡ 1 worker (numeric values and disclosure,
+    OLH counts and disclosure), and shards=1 ≡ unsharded."""
     truth = audited_generator(SEED).uniform(5.0, 45.0, size=(4, 96))
     common = dict(
         arm="thresholding",
@@ -74,6 +106,10 @@ def _identity_check(workers: int) -> bool:
     for epoch in one.server.epochs:
         if not np.array_equal(one.server.values(epoch), many.server.values(epoch)):
             return False
+    if not _same_disclosure(one.server, many.server):
+        return False
+    if not _categorical_identity_check(workers):
+        return False
 
     legacy = run_fleet(
         truth, SENSOR, EPSILON, rng=audited_generator(1), batched=True, **common
@@ -200,7 +236,8 @@ def main(argv=None) -> int:
           f"sizes={list(sizes)} epochs={epochs} repeats={repeats}")
 
     bit_identical = _identity_check(workers)
-    print(f"bit-identity (W={workers} vs W=1, shards=1 vs unsharded): "
+    print(f"bit-identity (W={workers} vs W=1 numeric and OLH with disclosure, "
+          f"shards=1 vs unsharded): "
           f"{'OK' if bit_identical else 'FAILED'}")
 
     # Warm codebook/table caches outside the timed region.

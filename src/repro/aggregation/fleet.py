@@ -39,7 +39,46 @@ from .device import Device
 from .protocol import Report
 from .server import AggregationServer
 
-__all__ = ["FleetResult", "run_fleet"]
+__all__ = ["FleetResult", "fleet_device_id", "fleet_id_column", "run_fleet"]
+
+_ID_PREFIX = b"dev-"
+#: Fleet ids carry at least this many digits (``dev-0007``).
+_ID_DIGITS = 4
+
+
+def fleet_device_id(i: int) -> str:
+    """The id of a simulated fleet's ``i``-th device: ``dev-0007``."""
+    return f"dev-{i:0{_ID_DIGITS}d}"
+
+
+def fleet_id_column(n_devices: int) -> np.ndarray:
+    """The ids of devices ``0..n_devices-1`` as one fixed-width ``S`` column.
+
+    Row ``i`` reads (``tolist()``, NUL padding stripped) exactly
+    ``fleet_device_id(i).encode()``, so a :class:`~repro.aggregation.
+    devices.DeviceTable` keys it like the strings, yet no per-device
+    ``str`` is made.  Built digit by digit with numpy, one block per
+    decimal width; read-only.
+    """
+    digits = max(_ID_DIGITS, len(str(max(n_devices - 1, 0))))
+    width = len(_ID_PREFIX) + digits
+    out = np.zeros((n_devices, width), dtype=np.uint8)
+    out[:, : len(_ID_PREFIX)] = np.frombuffer(_ID_PREFIX, dtype=np.uint8)
+    for w in range(_ID_DIGITS, digits + 1):
+        # Ids of exactly ``w`` digits (the first block also the shorter,
+        # zero-padded ones); the rest of their row stays NUL.
+        lo = 0 if w == _ID_DIGITS else 10 ** (w - 1)
+        hi = min(n_devices, 10**w)
+        x = np.arange(lo, hi, dtype=np.uint32)
+        block = np.empty((w, hi - lo), dtype=np.uint8)
+        for k in range(w - 1, -1, -1):
+            q = x // 10
+            block[k] = x - q * 10
+            x = q
+        out[lo:hi, len(_ID_PREFIX) : len(_ID_PREFIX) + w] = block.T + 48
+    column = out.view(f"S{width}").reshape(-1)
+    column.flags.writeable = False
+    return column
 
 
 @dataclasses.dataclass(frozen=True)
@@ -146,7 +185,7 @@ def run_fleet(
         # epoch loop so every epoch privatizes as pure table gathers.
         mechanism.rng.kernel
     devices = [
-        Device(f"dev-{i:04d}", mechanism, budget=device_budget)
+        Device(fleet_device_id(i), mechanism, budget=device_budget)
         for i in range(n_devices)
     ]
     lam = sensor.d / epsilon if arm != "rr" else None

@@ -61,6 +61,10 @@ from .protocol import Report
 
 __all__ = ["AggregationServer", "EpochSummary", "IngestHandle"]
 
+#: Device ids as the submission entry points take them: a table's id
+#: column, strings, or an ``S`` column of UTF-8 id bytes.
+IdColumn = Union[DeviceIds, Collection[str], np.ndarray]
+
 
 @dataclasses.dataclass(frozen=True)
 class EpochSummary:
@@ -218,9 +222,9 @@ class IngestHandle:
                     errors.append(exc)
         return errors
 
-    def record_claimed_losses(self, losses: Mapping[str, float]) -> None:
+    def record_claimed_losses(self, *args, **kwargs) -> None:
         with self._lock:
-            self._server.record_claimed_losses(losses)
+            self._server.record_claimed_losses(*args, **kwargs)
 
     def snapshot(self) -> Dict[str, object]:
         with self._lock:
@@ -266,14 +270,15 @@ class AggregationServer:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
-    def _charge_disclosure(
-        self, device_ids: Union[DeviceIds, Collection[str]], claimed_loss
-    ) -> DeviceIds:
+    def _charge_disclosure(self, device_ids: IdColumn, claimed_loss) -> DeviceIds:
         """Add ``claimed_loss`` per report to the composition bound.
 
         ``claimed_loss`` is one loss for every report or one per report.
-        Returns the ids as a column of this server's table.
+        ``device_ids`` may also be an ``S`` column of id bytes, looked up
+        whole.  Returns the ids as a column of this server's table.
         """
+        if isinstance(device_ids, np.ndarray):
+            device_ids = self.devices.lookup(device_ids)
         ids = self.devices.intern(device_ids)
         self._disclosure.add(ids, claimed_loss)
         at = self._disclosed.reserve(ids)
@@ -304,7 +309,7 @@ class AggregationServer:
         epoch: int,
         values: np.ndarray,
         claimed_loss: float,
-        device_ids: Optional[Union[DeviceIds, Sequence[str]]] = None,
+        device_ids: Optional[IdColumn] = None,
         donate: bool = False,
     ) -> None:
         """Accept one epoch batch as an array — no per-report objects.
@@ -324,7 +329,8 @@ class AggregationServer:
         mode satisfies that for free — the fold consumes the view
         immediately; retain mode takes its own copy before storing.
 
-        ``device_ids`` may be a list of strings or a
+        ``device_ids`` may be a list of strings, an ``S`` column of id
+        bytes (the sharded runner's fleet ids) or a
         :class:`~repro.aggregation.devices.DeviceIds` column: one of
         this server's table (the ingestion service's chain looks ids up
         in it) keeps its slots, one of another table is interned by key.
@@ -364,7 +370,7 @@ class AggregationServer:
         counts: np.ndarray,
         n_reports: int,
         claimed_loss: float,
-        device_ids: Optional[Union[DeviceIds, Sequence[str]]] = None,
+        device_ids: Optional[IdColumn] = None,
     ) -> None:
         """Accept one epoch batch of categorical *support counts*.
 
@@ -396,20 +402,37 @@ class AggregationServer:
         if device_ids is not None:
             self._charge_disclosure(device_ids, claimed_loss)
 
-    def record_claimed_losses(self, losses: Mapping[str, float]) -> None:
+    def record_claimed_losses(
+        self,
+        losses: Union[Mapping[str, float], np.ndarray],
+        device_ids: Optional[IdColumn] = None,
+    ) -> None:
         """Bulk-add per-device claimed losses to the disclosure bound.
 
-        Used by the sharded streaming runner: instead of shipping device
-        ids with every epoch batch, it accumulates each device's total
-        claimed loss (report count × per-report bound, both known from
-        the dropout masks) and records it once per run.
+        Used by the sharded runners: instead of shipping device ids with
+        every epoch batch, they work out each device's total claimed loss
+        (report count × per-report bound, both known from the dropout
+        masks) and record it once per run.
+
+        ``losses`` is a ``{device id: loss}`` mapping, or — the columnar
+        form — a float array aligned with ``device_ids``, which is then
+        an ``S`` column of the ids' UTF-8 bytes (looked up in the table
+        whole, with no per-device ``str``), a table's id column or a
+        sequence of strings.  Losses add in the given order.
         """
-        if not losses:
-            return
-        self._charge_disclosure(
-            losses.keys(),
-            np.fromiter(losses.values(), dtype=np.float64, count=len(losses)),
-        )
+        if device_ids is None:
+            if not isinstance(losses, Mapping):
+                raise ConfigurationError("columnar claimed losses need device_ids")
+            device_ids = losses.keys()
+            losses = np.fromiter(losses.values(), dtype=np.float64, count=len(losses))
+        else:
+            losses = np.asarray(losses, dtype=np.float64).reshape(-1)
+            if len(device_ids) != losses.size:
+                raise ConfigurationError(
+                    f"device_ids ({len(device_ids)}) and losses ({losses.size}) disagree"
+                )
+        if losses.size:
+            self._charge_disclosure(device_ids, losses)
 
     # ------------------------------------------------------------------
     # Epoch access

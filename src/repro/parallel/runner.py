@@ -177,12 +177,17 @@ def _allocate(arena: Optional[ShmArena], buffer: OutputBuffer, rows: np.ndarray)
 def record_bulk_losses(server, reporting: np.ndarray, loss: float) -> None:
     """Record the composition bound in bulk: every report claims the same
     per-release loss, and each device's report count is fixed by the
-    coordinator-drawn masks."""
+    coordinator-drawn masks.  Columnar: the reporting devices' ids as
+    one ``S`` column and their totals as one float array."""
+    from ..aggregation.fleet import fleet_id_column
+
     counts = reporting.sum(axis=0)
+    reported = np.flatnonzero(counts)
     # One float per distinct report count, not one per device.
-    per_count = [float(c) * loss for c in range(int(counts.max(initial=0)) + 1)]
+    per_count = np.arange(counts.max(initial=0) + 1, dtype=np.float64) * loss
     server.record_claimed_losses(
-        {f"dev-{i:04d}": per_count[counts[i]] for i in np.flatnonzero(counts)}
+        per_count[counts[reported]],
+        device_ids=fleet_id_column(counts.size)[reported],
     )
 
 
@@ -428,7 +433,7 @@ def run_fleet_sharded(
         echoed into the trace as an ``execution-plan`` event.
     """
     from ..aggregation.device import Device
-    from ..aggregation.fleet import FleetResult
+    from ..aggregation.fleet import FleetResult, fleet_device_id, fleet_id_column
     from ..aggregation.server import AggregationServer
 
     true_values = np.asarray(true_values, dtype=float)
@@ -464,6 +469,8 @@ def run_fleet_sharded(
 
     def merge(layout: ShardLayout, views: Mapping[str, np.ndarray]) -> None:
         n_epochs = layout.tally.shape[1]
+        if not streaming:
+            fleet_ids = fleet_id_column(layout.plan.n_devices)
         bounds = np.concatenate([[0], np.cumsum(layout.tally)])
         for epoch in range(n_epochs):
             for s, (start, stop) in enumerate(layout.plan.slices):
@@ -473,7 +480,7 @@ def run_fleet_sharded(
                 ids = None
                 if not streaming:
                     idx = start + np.flatnonzero(layout.reporting[epoch, start:stop])
-                    ids = [f"dev-{i:04d}" for i in idx]
+                    ids = fleet_ids[idx]
                 # donate: the buffer dies after the merge, so a retaining
                 # server copies; a streaming fold consumes it in place.
                 server.submit_array(
@@ -485,7 +492,7 @@ def run_fleet_sharded(
             # Every report is either fresh or served from the cache.
             n_reports = layout.reporting.sum(axis=0)
             for i in range(layout.plan.n_devices):
-                dev = Device(f"dev-{i:04d}", reference, budget=device_budget)
+                dev = Device(fleet_device_id(i), reference, budget=device_budget)
                 dev.n_fresh = int(n_reports[i])
                 if device_budget is not None:
                     dev.n_cached = int(views["n_cached"][i])

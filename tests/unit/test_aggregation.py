@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.aggregation import AggregationServer, Device, Report, run_fleet
+from repro.aggregation.fleet import fleet_device_id, fleet_id_column
 from repro.errors import ConfigurationError
 from repro.mechanisms import SensorSpec, make_mechanism
 
@@ -315,8 +316,40 @@ class TestStreamingServer:
         assert server.worst_case_disclosure("d0") == pytest.approx(2.0)
         assert server.worst_case_disclosure("d1") == pytest.approx(0.5)
 
+    def test_columnar_disclosure_matches_mapping(self):
+        ids = fleet_id_column(12)[[0, 3, 11]]
+        losses = np.array([1.5, 0.25, 3.0])
+        by_map, by_column = AggregationServer(), AggregationServer()
+        by_map.record_claimed_losses({"dev-0000": 1.5, "dev-0003": 0.25, "dev-0011": 3.0})
+        by_column.ingest_handle().record_claimed_losses(losses, device_ids=ids)
+        by_column.record_claimed_losses(losses[:1], device_ids=["dev-0000"])
+        by_map.record_claimed_losses({"dev-0000": 1.5})
+        assert list(by_column.disclosure.items()) == list(by_map.disclosure.items())
+        assert by_column.snapshot()["n_devices_tracked"] == 3
+
+    def test_columnar_disclosure_validates(self):
+        server = AggregationServer()
+        with pytest.raises(ConfigurationError):
+            server.record_claimed_losses(np.array([1.0]))
+        with pytest.raises(ConfigurationError):
+            server.record_claimed_losses(np.array([1.0, 2.0]), fleet_id_column(1))
+        server.record_claimed_losses(np.zeros(0), fleet_id_column(0))
+        assert server.snapshot()["n_devices_tracked"] == 0
+
     def test_mean_trend_streaming(self):
         server = AggregationServer(streaming=True)
         batches = self.fill(server)
         trend = server.mean_trend()
         assert trend == pytest.approx([b.mean() for b in batches], rel=1e-12)
+
+
+class TestFleetIds:
+    @pytest.mark.parametrize("n", [0, 1, 10, 9_999, 10_001, 100_002])
+    def test_column_rows_are_the_id_bytes(self, n):
+        column = fleet_id_column(n)
+        assert column.tolist() == [fleet_device_id(i).encode() for i in range(n)]
+        assert not column.flags.writeable
+
+    def test_id_format(self):
+        assert fleet_device_id(7) == "dev-0007"
+        assert fleet_device_id(123456) == "dev-123456"
